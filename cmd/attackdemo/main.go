@@ -32,7 +32,7 @@ func main() {
 		curve = ec2m.Sect571()
 	}
 	fmt.Printf("host: %s, %d slices, %d SF sets/slice, Cloud Run noise (%.1f acc/ms/set)\n",
-		cfg.Name, cfg.Slices, cfg.LLCSets, cfg.NoiseRate*2e6)
+		cfg.Name, cfg.Slices, cfg.LLCSets, cfg.Tenants[0].Rate)
 	fmt.Printf("victim: ECDSA Montgomery ladder on %s (%d-bit nonces)\n\n", curve.Name, curve.N.BitLen())
 
 	wall := time.Now()

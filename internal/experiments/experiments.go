@@ -47,13 +47,13 @@ type Options struct {
 	// for every value; only wall-clock time changes.
 	Workers int
 	// Tenants, when non-empty, replaces every runner's environment noise
-	// (the quiescent-local and Cloud Run presets) with the given
+	// (the quiescent-local and Cloud Run poisson presets) with the given
 	// structured background tenants (cmd/llcrepro -tenants). Runners
 	// that sweep or rescale the noise rate (abl-noise, construction
-	// equivalent-noise scaling) still do: with tenants present,
-	// Config.WithNoiseRate rescales the tenants' total mean rate while
-	// preserving the mix, so intensity axes stay meaningful under an
-	// override.
+	// equivalent-noise scaling) still do: Config.WithNoiseRate sets a
+	// lone tenant's rate, or rescales several tenants' total mean rate
+	// while preserving the mix, so intensity axes stay meaningful under
+	// an override.
 	Tenants []tenant.Spec
 	// Defense, when non-nil, deploys the given LLC countermeasure
 	// (internal/defense) on every runner's hosts (cmd/llcrepro
@@ -200,10 +200,9 @@ func cloudConfig(o Options) hierarchy.Config {
 }
 
 // tenants applies the run's environment overrides — tenant workloads
-// and the LLC defense — to a runner config. Tenants win over the legacy
-// noise knobs inside the hierarchy (the preset NoiseRate becomes
-// inert), while later WithNoiseRate calls rescale the tenants' total
-// rate in place of the flat knob.
+// and the LLC defense — to a runner config. Override tenants replace
+// the preset's poisson tenant; later WithNoiseRate calls set or
+// rescale their rate exactly as they would the preset's.
 func (o Options) tenants(cfg hierarchy.Config) hierarchy.Config {
 	if len(o.Tenants) > 0 {
 		cfg = cfg.WithTenants(o.Tenants...)

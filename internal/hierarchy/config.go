@@ -17,9 +17,10 @@
 // every access advances the clock by a jittered latency, and overlapped
 // ("parallel") accesses are charged an MLP-aware cost instead of the sum
 // of their latencies. Background tenant interference is injected lazily
-// per LLC/SF set by the workload models of internal/tenant — a flat
-// Poisson process by default (§4.3 / Figure 2 of the paper), or
-// structured burst/stream/hotset/churn tenants via Config.Tenants.
+// per LLC/SF set by the workload models of internal/tenant declared in
+// Config.Tenants — one flat Poisson tenant in every preset (§4.3 /
+// Figure 2 of the paper), or structured burst/stream/hotset/churn
+// tenants.
 // Optionally one LLC countermeasure model (internal/defense) hooks the
 // shared structures via Config.Defense: way-partitioned allocation,
 // keyed/per-domain set-index derivation, and quantized or jittered
@@ -124,25 +125,13 @@ type Config struct {
 	// predictor [40, 82]).
 	ReuseInsertProb float64
 
-	// NoiseRate is the background tenant access rate per LLC/SF set in
-	// accesses per cycle (paper §4.3: 11.5/ms on Cloud Run, 0.29/ms on a
-	// quiescent local machine, at 2 GHz). It is the legacy flat-Poisson
-	// knob, kept as a shim: when Tenants is empty and NoiseRate > 0 the
-	// host builds one "poisson" tenant from it (byte-identical to the
-	// pre-tenant noise path); when Tenants is non-empty both noise knobs
-	// are ignored.
-	NoiseRate float64
-	// NoiseLLCProb is the probability a background access also installs a
-	// line in the LLC set (tenant shared data / L2 victims), in addition
-	// to its SF allocation. Part of the legacy shim, like NoiseRate.
-	NoiseLLCProb float64
-
-	// Tenants declares structured background tenants (internal/tenant):
-	// burst phases, streaming scans, hot-set collisions, serverless
-	// churn, or several at once. When non-empty it replaces the flat
-	// NoiseRate/NoiseLLCProb process entirely. Note that a non-empty
-	// Tenants makes the Config non-comparable (callers that need a map
-	// key use Key).
+	// Tenants declares the host's background workload (internal/tenant):
+	// the paper's flat per-set Poisson process (§4.3), which every
+	// preset carries as one "poisson" spec, or structured burst,
+	// stream, hot-set and churn tenants, or several at once. It is the
+	// only noise setting; an empty slice is a silent host. The slice
+	// makes the Config non-comparable (callers that need a map key use
+	// Key).
 	Tenants []tenant.Spec
 
 	// Defense declares an LLC countermeasure model (internal/defense):
@@ -207,18 +196,14 @@ func log2(n int) int {
 	return b
 }
 
-// Noise rate presets, converted from the paper's measured per-millisecond
-// rates at the 2 GHz host frequency.
-const (
-	// cyclesPerMs aliases tenant.CyclesPerMs rather than restating the
-	// literal: the poisson shim's byte-identity requires WithNoiseRate
-	// and tenant.Spec.Build to divide by the exact same float.
-	cyclesPerMs = tenant.CyclesPerMs
-	// CloudRunNoiseRate is 11.5 accesses/ms/set (paper §4.3).
-	CloudRunNoiseRate = 11.5 / cyclesPerMs
-	// QuiescentNoiseRate is 0.29 accesses/ms/set (paper §4.3).
-	QuiescentNoiseRate = 0.29 / cyclesPerMs
-)
+// poissonNoise is the preset background workload: one flat Poisson
+// tenant at perMs accesses/ms/set (paper §4.3 measures 11.5 on Cloud
+// Run and 0.29 on a quiescent local host) whose accesses install in
+// the LLC half the time (tenant shared data and L2 victims), besides
+// their SF allocation.
+func poissonNoise(perMs float64) []tenant.Spec {
+	return []tenant.Spec{{Model: "poisson", Rate: perMs, LLCProb: 0.5}}
+}
 
 // SkylakeSP returns the hierarchy of an Intel Skylake-SP server part
 // (Table 2 in the paper) with the given number of LLC/SF slices: 28 for
@@ -245,8 +230,7 @@ func SkylakeSP(slices int) Config {
 		SFPolicy:        cache.TrueLRU,
 		Lat:             DefaultLatencies(),
 		ReuseInsertProb: 0.3,
-		NoiseRate:       QuiescentNoiseRate,
-		NoiseLLCProb:    0.5,
+		Tenants:         poissonNoise(0.29),
 		MemoryBytes:     8 << 30,
 		TimerJitter:     2,
 	}
@@ -283,27 +267,28 @@ func Scaled(slices int) Config {
 
 // WithCloudNoise returns a copy of the config with Cloud Run noise.
 func (c Config) WithCloudNoise() Config {
-	c.NoiseRate = CloudRunNoiseRate
+	c.Tenants = poissonNoise(11.5)
 	return c
 }
 
 // WithQuiescentNoise returns a copy with quiescent-local noise.
 func (c Config) WithQuiescentNoise() Config {
-	c.NoiseRate = QuiescentNoiseRate
+	c.Tenants = poissonNoise(0.29)
 	return c
 }
 
 // WithNoiseRate returns a copy whose background workload exerts the
 // given mean pressure, in accesses per millisecond per set (the
-// paper's unit). On a legacy-knob config it sets NoiseRate; when
-// structured Tenants are present it instead rescales every tenant's
-// Rate so their TOTAL mean matches perMs while the mix between them is
-// preserved — so noise-rate axes (the abl-noise runner, construction
-// equivalent-noise scaling) keep sweeping intensity under a -tenants
-// override instead of becoming silently inert.
+// paper's unit). A silent host gets the preset poisson tenant at
+// perMs; a single tenant takes perMs as its Rate exactly; several
+// tenants are rescaled so their TOTAL mean matches perMs while the mix
+// between them is preserved — so noise-rate axes (the abl-noise
+// runner, construction equivalent-noise scaling) keep sweeping
+// intensity under a -tenants override instead of becoming silently
+// inert.
 func (c Config) WithNoiseRate(perMs float64) Config {
-	c.NoiseRate = perMs / cyclesPerMs
 	if len(c.Tenants) == 0 {
+		c.Tenants = poissonNoise(perMs)
 		return c
 	}
 	total := 0.0
@@ -312,10 +297,12 @@ func (c Config) WithNoiseRate(perMs float64) Config {
 	}
 	scaled := append([]tenant.Spec(nil), c.Tenants...)
 	for i := range scaled {
-		if total > 0 {
+		if total > 0 && len(scaled) > 1 {
 			scaled[i].Rate *= perMs / total
 		} else {
-			// All-zero declared rates: split the requested total evenly.
+			// A lone tenant, or all-zero declared rates: split the
+			// requested total evenly. A lone tenant's rate is set, not
+			// rescaled: r*(perMs/r) can miss perMs by an ulp.
 			scaled[i].Rate = perMs / float64(len(scaled))
 		}
 	}
@@ -324,9 +311,9 @@ func (c Config) WithNoiseRate(perMs float64) Config {
 }
 
 // WithTenants returns a copy whose background workload is the given
-// structured tenant specs (replacing the flat NoiseRate/NoiseLLCProb
-// process). The specs slice is copied, so later mutation of the
-// arguments cannot alias into the config.
+// tenant specs, replacing the previous ones. The specs slice is
+// copied, so later mutation of the arguments cannot alias into the
+// config.
 func (c Config) WithTenants(specs ...tenant.Spec) Config {
 	c.Tenants = append([]tenant.Spec(nil), specs...)
 	return c
@@ -340,21 +327,17 @@ func (c Config) WithDefense(sp defense.Spec) Config {
 	return c
 }
 
-// Validate rejects configurations whose noise, tenant or defense
-// parameters are out of range — a negative rate, a probability outside
-// [0, 1], a malformed tenant spec, or a way partition that leaves a
-// shared structure without ways on one side — before they can silently
-// produce a nonsense host. Geometry errors (non-power-of-two set
-// counts) still panic in the index helpers, as before. NewHost calls
-// Validate and panics on error; callers that assemble configs from
-// external input (sweep specs, CLI flags) call it directly for a
+// Validate rejects configurations whose tenant, timing or defense
+// parameters are out of range — a probability outside [0, 1], a
+// negative jitter, a malformed tenant spec, or a way partition that
+// leaves a shared structure without ways on one side — before they can
+// silently produce a nonsense host. Geometry errors (non-power-of-two
+// set counts) still panic in the index helpers, as before. NewHost
+// calls Validate and panics on error; callers that assemble configs
+// from external input (sweep specs, CLI flags) call it directly for a
 // graceful error.
 func (c Config) Validate() error {
 	switch {
-	case c.NoiseRate < 0:
-		return fmt.Errorf("hierarchy: negative NoiseRate %g", c.NoiseRate)
-	case c.NoiseLLCProb < 0 || c.NoiseLLCProb > 1:
-		return fmt.Errorf("hierarchy: NoiseLLCProb %g outside [0, 1]", c.NoiseLLCProb)
 	case c.ReuseInsertProb < 0 || c.ReuseInsertProb > 1:
 		return fmt.Errorf("hierarchy: ReuseInsertProb %g outside [0, 1]", c.ReuseInsertProb)
 	case c.TimerJitter < 0:

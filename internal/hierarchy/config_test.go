@@ -1,9 +1,11 @@
 package hierarchy
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/memory"
+	"repro/internal/tenant"
 )
 
 func TestSkylakeUncertainty(t *testing.T) {
@@ -45,16 +47,46 @@ func TestGeometryInvariants(t *testing.T) {
 	}
 }
 
+// TestNoisePresets: every preset and noise helper declares its
+// background as the one poisson tenant of paper §4.3, and WithNoiseRate
+// lands exactly on the requested rate in each of its three cases.
 func TestNoisePresets(t *testing.T) {
-	c := SkylakeSP(4)
-	if c.NoiseRate != QuiescentNoiseRate {
-		t.Error("default preset should be quiescent")
+	poissonAt := func(perMs float64) []tenant.Spec {
+		return []tenant.Spec{{Model: "poisson", Rate: perMs, LLCProb: 0.5}}
 	}
-	if c.WithCloudNoise().NoiseRate != CloudRunNoiseRate {
-		t.Error("WithCloudNoise failed")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want []tenant.Spec
+	}{
+		{"SkylakeSP", SkylakeSP(4), poissonAt(0.29)},
+		{"IceLakeSP", IceLakeSP(4), poissonAt(0.29)},
+		{"Scaled", Scaled(4), poissonAt(0.29)},
+		{"WithCloudNoise", Scaled(4).WithCloudNoise(), poissonAt(11.5)},
+		{"WithQuiescentNoise", Scaled(4).WithCloudNoise().WithQuiescentNoise(), poissonAt(0.29)},
+		// A silent host gets the preset poisson tenant at perMs.
+		{"silent WithNoiseRate", Config{}.WithNoiseRate(11.5), poissonAt(11.5)},
+	} {
+		if !reflect.DeepEqual(c.cfg.Tenants, c.want) {
+			t.Errorf("%s: tenants %v, want %v", c.name, c.cfg.Tenants, c.want)
+		}
 	}
-	if got := c.WithNoiseRate(11.5).NoiseRate; got != CloudRunNoiseRate {
-		t.Errorf("WithNoiseRate(11.5) = %v, want %v", got, CloudRunNoiseRate)
+
+	// A single tenant takes perMs as its rate bit for bit. 3.3 is a rate
+	// the rescale r*(perMs/r) misses by one ulp from the preset's 0.29.
+	const perMs = 3.3
+	if r := Scaled(4).Tenants[0].Rate; r*(perMs/r) == perMs {
+		t.Fatalf("%g is no longer a rate the rescale from %g misses", perMs, r)
+	}
+	for _, base := range []Config{
+		Scaled(4),
+		Scaled(4).WithTenants(tenant.Spec{Model: "burst", Rate: 34.5, LLCProb: 0.5}),
+	} {
+		got := base.WithNoiseRate(perMs).Tenants
+		if len(got) != 1 || got[0].Rate != perMs || got[0].Model != base.Tenants[0].Model {
+			t.Errorf("%s WithNoiseRate(%g) = %v, want one %s tenant at exactly %g",
+				base.Tenants[0].Model, perMs, got, base.Tenants[0].Model, perMs)
+		}
 	}
 }
 
@@ -80,7 +112,7 @@ func TestHostDeterminism(t *testing.T) {
 
 func TestLLCEvictionBackInvalidatesSharers(t *testing.T) {
 	cfg := Scaled(4)
-	cfg.NoiseRate = 0
+	cfg.Tenants = nil
 	h := NewHost(cfg, 123)
 	a := h.NewAgent(0)
 	helper := h.NewAgentSharing(1, a.AddressSpace())
@@ -116,7 +148,7 @@ func TestLLCEvictionBackInvalidatesSharers(t *testing.T) {
 
 func TestParallelBatchCheaperThanSequential(t *testing.T) {
 	cfg := Scaled(4)
-	cfg.NoiseRate = 0
+	cfg.Tenants = nil
 	h := NewHost(cfg, 7)
 	a := h.NewAgent(0)
 	buf := a.Alloc(256)

@@ -43,21 +43,6 @@ func equalTraces(t *testing.T, label string, h1, h2 *Host) {
 	}
 }
 
-// TestPoissonShimByteIdentity pins the tentpole back-compat contract:
-// a host configured through the legacy NoiseRate/NoiseLLCProb knobs and
-// one configured with the equivalent explicit poisson tenant spec must
-// replay the exact same simulation — same serving levels, same clock,
-// same noise-event count — because both paths feed the same per-cycle
-// rate to the same model and draw from the host stream in the same
-// order.
-func TestPoissonShimByteIdentity(t *testing.T) {
-	legacy := Scaled(4).WithCloudNoise()
-	explicit := Scaled(4).WithTenants(tenant.Spec{Model: "poisson", Rate: 11.5, LLCProb: legacy.NoiseLLCProb})
-	h1 := NewHost(legacy, 1234)
-	h2 := NewHost(explicit, 1234)
-	equalTraces(t, "legacy vs explicit poisson", h1, h2)
-}
-
 // TestTenantHostDeterminism: every model family replays identically
 // from equal seeds, and produces background events at all.
 func TestTenantHostDeterminism(t *testing.T) {
@@ -115,14 +100,12 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("shipped config rejected: %v", err)
 	}
 	bad := []func(Config) Config{
-		func(c Config) Config { c.NoiseRate = -1; return c },
-		func(c Config) Config { c.NoiseLLCProb = 1.5; return c },
-		func(c Config) Config { c.NoiseLLCProb = -0.1; return c },
 		func(c Config) Config { c.ReuseInsertProb = 2; return c },
 		func(c Config) Config { c.TimerJitter = -3; return c },
 		func(c Config) Config { c.Lat.JitterFrac = -0.5; return c },
 		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "nope", Rate: 1}) },
 		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "poisson", Rate: -2}) },
+		func(c Config) Config { return c.WithTenants(tenant.Spec{Model: "poisson", Rate: 1, LLCProb: 1.5}) },
 		func(c Config) Config {
 			return c.WithTenants(tenant.Spec{Model: "hotset", Rate: 1, HotFrac: 3})
 		},

@@ -165,3 +165,14 @@ func TestHostResetReplaysFrameOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestHostOverFrameLimitPanics(t *testing.T) {
+	// The check runs before the frame list is allocated, so this test
+	// allocates nothing large.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a host of 2^32+1 frames did not panic")
+		}
+	}()
+	NewHost((1<<32+1)*PageSize, xrand.New(1))
+}

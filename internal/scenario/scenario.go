@@ -96,10 +96,13 @@ var scenarios = map[string]Scenario{}
 // apply, and the construction step inside a scenario sees the declared
 // rate as-is. A cell runs on the sweep's grid config, with one
 // refinement: whatever DEFINES the scenario variant — a baked defense
-// or a baked tenant workload — carries over unless the grid explicitly
-// swept that axis, so a cell named scenario/covert/channel/quiesce
-// really measures a quiesced host even in a grid whose defenses axis is
-// the default "none" (and a defenses-axis value, when present, wins).
+// or a baked structured tenant workload — carries over unless the grid
+// explicitly swept that axis, so a cell named
+// scenario/covert/channel/quiesce really measures a quiesced host even
+// in a grid whose defenses axis is the default "none" (and a
+// defenses-axis value, when present, wins). A variant whose background
+// is itself the single poisson tenant (e2e/extract/noisy) differs from
+// the grid only in rate, which the grid's noise-rate axis sweeps.
 // Register panics on duplicate ids (a programming error).
 func Register(sc Scenario) {
 	if _, dup := scenarios[sc.ID]; dup {
@@ -118,13 +121,20 @@ func Register(sc Scenario) {
 			if cfg.Defense == nil && own.Defense != nil {
 				cfg = cfg.WithDefense(*own.Defense)
 			}
-			if len(cfg.Tenants) == 0 && len(own.Tenants) > 0 {
+			if poissonOnly(cfg.Tenants) && !poissonOnly(own.Tenants) {
 				cfg = cfg.WithTenants(own.Tenants...)
 			}
 			o := sc.Run(t, cfg)
 			return experiments.Sample{OK: o.Success, Value: float64(o.TotalCycles)}
 		},
 	})
+}
+
+// poissonOnly reports whether a background workload is one poisson
+// tenant: the default tenant-model axis value of a sweep grid, and the
+// background of every hierarchy preset.
+func poissonOnly(ts []tenant.Spec) bool {
+	return len(ts) == 1 && ts[0].Model == "poisson"
 }
 
 // Lookup returns the scenario registered under id.

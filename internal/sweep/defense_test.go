@@ -2,7 +2,13 @@ package sweep
 
 import (
 	"context"
+	"reflect"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/hierarchy"
+	"repro/internal/scenario"
+	"repro/internal/xrand"
 )
 
 // TestDefenseAxis sweeps LLC countermeasures: the same experiment across
@@ -114,6 +120,70 @@ func TestScenarioCellCarriesVariantDefense(t *testing.T) {
 	if quiesced.SuccessRate != 0 {
 		t.Fatalf("covert/channel/quiesce cell succeeded at %.2f — the variant's baked defense did not reach the host",
 			quiesced.SuccessRate)
+	}
+}
+
+// TestScenarioCellCarriesVariantTenants: a structured-tenant scenario
+// VARIANT mirrored as a sweep cell must run on the variant's baked
+// background even in a default grid, whose tenant axis puts the single
+// poisson tenant of every preset on each cell — the stream cell's
+// samples are the stream variant's own, not those of the grid's
+// poisson host. A scenario whose background is itself one poisson
+// tenant (covert/channel at the Cloud Run rate, e2e/extract/noisy at
+// 34.5/ms) differs only in rate, so its cell keeps the grid's swept
+// rate.
+func TestScenarioCellCarriesVariantTenants(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario pipelines are slow")
+	}
+	for _, tc := range []struct {
+		id    string
+		carry bool
+	}{
+		{"covert/channel/stream", true},
+		{"covert/channel", false},
+	} {
+		spec := Spec{
+			Experiments: []string{"scenario/" + tc.id},
+			Policies:    []string{"LRU"},
+			SFAssocs:    []int{8},
+			Slices:      []int{4},
+			Trials:      2,
+			Seed:        7,
+		}
+		spec.Normalize()
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		cls := Expand(spec)
+		if len(cls) != 1 || cls[0].TenantModel != "poisson" {
+			t.Fatalf("%s: want one default poisson cell, got %+v", tc.id, cls)
+		}
+		c := cls[0]
+		sc, ok := scenario.Lookup(tc.id)
+		if !ok {
+			t.Fatalf("%s not registered", tc.id)
+		}
+		// Each trial runs on the cell's own seed stream, as Run does.
+		samples := func(run func(*experiments.Trial) experiments.Sample) []experiments.Sample {
+			return experiments.RunTrials(spec.Trials, 1, spec.Seed, func(t *experiments.Trial) experiments.Sample {
+				return run(t.WithSeed(xrand.Stream(c.Seed, uint64(t.Index))))
+			})
+		}
+		scenarioOn := func(cfg hierarchy.Config) []experiments.Sample {
+			return samples(func(t *experiments.Trial) experiments.Sample {
+				o := sc.Run(t, cfg)
+				return experiments.Sample{OK: o.Success, Value: float64(o.TotalCycles)}
+			})
+		}
+		cell := samples(func(t *experiments.Trial) experiments.Sample { return c.Exp.Run(t, c.Config) })
+		want, other := scenarioOn(c.Config), scenarioOn(sc.Config())
+		if tc.carry {
+			want, other = other, want
+		}
+		if !reflect.DeepEqual(cell, want) || reflect.DeepEqual(cell, other) {
+			t.Errorf("%s (carry-over %v): cell samples %+v, want %+v, not %+v", tc.id, tc.carry, cell, want, other)
+		}
 	}
 }
 

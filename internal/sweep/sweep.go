@@ -66,9 +66,9 @@ type Spec struct {
 	// TenantModels sweeps the background-workload SHAPE at each noise
 	// rate: tenant model names (tenant.Models; poisson, burst, stream,
 	// hotset, churn), each built with its documented default parameters
-	// at the cell's noise rate. "poisson" reproduces the flat legacy
-	// noise process — and is the default, so existing specs and
-	// artifacts are unchanged.
+	// at the cell's noise rate. "poisson" is the paper's flat noise
+	// process, the one every hierarchy preset carries — and is the
+	// default, so existing specs and artifacts are unchanged.
 	TenantModels []string `json:"tenant_models,omitempty"`
 	// Defenses sweeps LLC countermeasures: compact defense.Parse spec
 	// strings ("partition:ways=4", "randomize:period=100000",
@@ -187,7 +187,7 @@ type CellResult struct {
 	Slices     int     `json:"slices"`
 	NoiseRate  float64 `json:"noise_rate"`
 	// TenantModel is the background-workload shape at the cell's noise
-	// rate ("poisson" is the flat legacy process).
+	// rate ("poisson" is the paper's flat process).
 	TenantModel string `json:"tenant_model"`
 	// Defense is the cell's LLC countermeasure in canonical compact
 	// form ("none" is the undefended host).
@@ -312,15 +312,8 @@ func Expand(s Spec) []Cell {
 								if ce.ConstructionNoise {
 									effRate *= experiments.ConstructionNoiseScale(cfg, false)
 								}
-								if model == "poisson" {
-									// The flat legacy knob, byte-identical to the
-									// pre-tenant sweep path.
-									cfg = cfg.WithNoiseRate(effRate)
-									cfg.Name = fmt.Sprintf("sweep/%s/w%d/s%d", kind, assoc, slices)
-								} else {
-									cfg = cfg.WithTenants(tenant.Spec{Model: model, Rate: effRate, LLCProb: cfg.NoiseLLCProb})
-									cfg.Name = fmt.Sprintf("sweep/%s/w%d/s%d/%s", kind, assoc, slices, model)
-								}
+								cfg = cfg.WithTenants(tenant.Spec{Model: model, Rate: effRate, LLCProb: cfg.Tenants[0].LLCProb})
+								cfg.Name = fmt.Sprintf("sweep/%s/w%d/s%d", kind, assoc, slices)
 								// Seed labels: the tenant and defense coordinates join
 								// only for non-default cells, so every pre-axis artifact
 								// keeps its exact numbers (a poisson/undefended cell's
@@ -328,6 +321,7 @@ func Expand(s Spec) []Cell {
 								// existed).
 								labels := []any{ce.ID, kind.String(), assoc, slices, rate}
 								if model != "poisson" {
+									cfg.Name += "/" + model
 									labels = append(labels, "tenant:"+model)
 								}
 								if def.spec != nil {
